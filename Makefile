@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-ingest bench-chaos bench-stampede bench-analytics bench-fig5sharded bench-timetravel bench-tablesscale torture chaos fuzz check
+.PHONY: build test race bench bench-ingest bench-chaos bench-stampede bench-analytics bench-fig5sharded bench-timetravel bench-tablesscale torture chaos fuzz loc check
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShardMap$$' -fuzztime 30s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeReplies$$' -fuzztime 30s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 30s ./internal/lake/
+
+# loc prints the non-test Go line count outside perfbench/, so each change
+# can report the net lines it removed.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec cat {} + | wc -l
 
 # check runs the full gate: vet, build, race tests (torture harness
 # included), a one-iteration smoke run of the parallel query benchmark, and

@@ -243,7 +243,7 @@ func (a *Archive) Store(rel string, data []byte) error {
 	// line is appended (and itself fsynced). A manifest entry therefore
 	// always points at durable bytes; a crash between the two leaves only
 	// an orphaned data file, never an acknowledged-but-lost store.
-	if err := a.writeFileSync(abs, data, 0o444); err != nil {
+	if err := minidb.WriteFile(a.fsys, abs, 0o444, minidb.WriteBytes(data)); err != nil {
 		return err
 	}
 	meta := fileMeta{size: int64(len(data)), crc: crc32.ChecksumIEEE(data)}
@@ -369,7 +369,7 @@ func (a *Archive) StoreBatch(files []BatchFile) error {
 		undo(false)
 		return err
 	}
-	if err := a.writeFileSync(abs, blob, 0o444); err != nil {
+	if err := minidb.WriteFile(a.fsys, abs, 0o444, minidb.WriteBytes(blob)); err != nil {
 		undo(true)
 		return err
 	}
@@ -412,30 +412,6 @@ func (a *Archive) appendManifestBatch(rels []string, metas []fileMeta) error {
 	}
 	if err != nil {
 		_ = f.Truncate(size)
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeFileSync creates abs with data and forces it to stable storage.
-// Data files are created read-only (0444), so a crash-orphaned file of a
-// reused name is unlinked first — Create alone would fail with EACCES on
-// the 0444 leftover for non-root users, wedging the recovery paths that
-// rely on overwriting orphans.
-func (a *Archive) writeFileSync(abs string, data []byte, perm fs.FileMode) error {
-	if err := a.fsys.Remove(abs); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	f, err := a.fsys.Create(abs, perm)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
 		f.Close()
 		return err
 	}
@@ -688,14 +664,9 @@ func (a *Archive) rewriteManifest() error {
 			fmt.Fprintf(&sb, "%s\t%d\t%d\n", p, m.size, m.crc)
 		}
 	}
-	// Atomic replace: write aside, fsync, rename over the old manifest. A
-	// crash at any point leaves either the old or the new manifest, never
-	// a half-rewritten one.
-	tmp := a.manifestPath() + ".tmp"
-	if err := a.writeFileSync(tmp, []byte(sb.String()), 0o644); err != nil {
-		return err
-	}
-	return a.fsys.Rename(tmp, a.manifestPath())
+	// Atomic replace: a crash at any point leaves either the old or the new
+	// manifest, never a half-rewritten one.
+	return minidb.ReplaceFile(a.fsys, a.manifestPath(), 0o644, minidb.WriteBytes([]byte(sb.String())))
 }
 
 func (a *Archive) loadManifest() error {

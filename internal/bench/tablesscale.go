@@ -8,7 +8,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -17,6 +16,7 @@ import (
 	"repro/internal/minidb"
 	"repro/internal/pl"
 	"repro/internal/schema"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -275,16 +275,7 @@ func waitFarmJob(fe *pl.Frontend, req *pl.Request) (time.Duration, *pl.Delivery,
 	return time.Since(start), tk.Delivery(), nil
 }
 
-// pctMs returns the q-quantile of the samples in milliseconds.
-func pctMs(ds []time.Duration, q float64) float64 {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q*float64(len(s)-1) + 0.5)
-	return float64(s[idx]) / float64(time.Millisecond)
-}
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func durMean(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {
@@ -366,8 +357,8 @@ func (r *farmRig) sweepPoint(p TablesScaleParams, managers int) (FarmPoint, erro
 	return FarmPoint{
 		Managers: managers, Servers: managers * p.ManagerServers, Jobs: jobs,
 		WallS: wall.Seconds(), JobsPerSec: float64(jobs) / wall.Seconds(),
-		InteractiveP50Ms: pctMs(intLat, 0.5), InteractiveP99Ms: pctMs(intLat, 0.99),
-		BulkP50Ms: pctMs(bulkLat, 0.5), BulkP99Ms: pctMs(bulkLat, 0.99),
+		InteractiveP50Ms: ms(stats.Percentile(intLat, 0.5)), InteractiveP99Ms: ms(stats.Percentile(intLat, 0.99)),
+		BulkP50Ms: ms(stats.Percentile(bulkLat, 0.5)), BulkP99Ms: ms(stats.Percentile(bulkLat, 0.99)),
 		LocalRuns: st.Sched.LocalRuns, Steals: st.Sched.Steals,
 		Preemptions: st.Sched.Preemptions,
 	}, nil
@@ -440,7 +431,7 @@ func (r *farmRig) preemptionRun(p TablesScaleParams, preempt bool) (p50, p99 flo
 		}
 	}
 	st := fe.FarmStats()
-	return pctMs(lat, 0.5), pctMs(lat, 0.99), st.Sched.Preemptions, nil
+	return ms(stats.Percentile(lat, 0.5)), ms(stats.Percentile(lat, 0.99)), st.Sched.Preemptions, nil
 }
 
 // memoPhase measures the result cache: cold vs warm latency over canned
@@ -582,7 +573,7 @@ func (r *farmRig) hedgeRun(p TablesScaleParams, hedgeOn bool) (HedgeRun, error) 
 
 	st := fe.FarmStats()
 	run := HedgeRun{
-		P50Ms: pctMs(lat, 0.5), P99Ms: pctMs(lat, 0.99),
+		P50Ms: ms(stats.Percentile(lat, 0.5)), P99Ms: ms(stats.Percentile(lat, 0.99)),
 		HedgesLaunched: st.Sched.HedgesLaunched,
 		HedgesWon:      st.Sched.HedgesWon,
 		HedgesLost:     st.Sched.HedgesLost,

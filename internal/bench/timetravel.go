@@ -5,12 +5,12 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/lake"
 	"repro/internal/minidb"
+	"repro/internal/stats"
 )
 
 // Time travel over the commit journal: the lake archive run as an
@@ -61,8 +61,8 @@ type TimeTravelDepth struct {
 	Commit    uint64  `json:"commit"`
 	Behind    uint64  `json:"commits_behind_head"`
 	Members   int     `json:"members"`
-	OpenMs    float64 `json:"open_ms"`      // OpenAt: journal-prefix replay + durable pin
-	ReadP50Us float64 `json:"read_p50_us"`  // per-member read through the view
+	OpenMs    float64 `json:"open_ms"`     // OpenAt: journal-prefix replay + durable pin
+	ReadP50Us float64 `json:"read_p50_us"` // per-member read through the view
 	ReadP95Us float64 `json:"read_p95_us"`
 	OracleOK  bool    `json:"oracle_ok"` // bit-identical to the replay oracle
 }
@@ -103,16 +103,6 @@ type ttOracle struct {
 	crcs map[string]uint32
 }
 
-func pctUs(durs []time.Duration, p float64) float64 {
-	if len(durs) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), durs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return float64(sorted[idx].Nanoseconds()) / 1e3
-}
-
 // measureDepth opens the lake as of seq, times the open and p.Reads member
 // reads through the view, and checks the result bit-identically against
 // the oracle snapshot for that commit.
@@ -140,8 +130,8 @@ func measureDepth(lk *lake.Lake, seq uint64, o *ttOracle, p TimeTravelParams, rn
 		}
 		durs = append(durs, time.Since(r0))
 	}
-	d.ReadP50Us = pctUs(durs, 0.50)
-	d.ReadP95Us = pctUs(durs, 0.95)
+	d.ReadP50Us = float64(stats.Percentile(durs, 0.50)) / 1e3
+	d.ReadP95Us = float64(stats.Percentile(durs, 0.95)) / 1e3
 
 	// Oracle verification: exact member set, every payload CRC-identical.
 	d.OracleOK = true
@@ -284,7 +274,7 @@ func RunTimeTravel(p TimeTravelParams, logf func(string, ...any)) (*TimeTravelRe
 				durs = append(durs, time.Since(r0))
 			}
 		}
-		return pctUs(durs, 0.50)
+		return float64(stats.Percentile(durs, 0.50)) / 1e3
 	}
 	c := &res.Compaction
 	st := lk.Status()

@@ -26,9 +26,7 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +38,7 @@ import (
 	"repro/internal/minidb"
 	"repro/internal/overload"
 	"repro/internal/schema"
+	"repro/internal/stats"
 )
 
 // StampedeSchedule is one stampede scenario.
@@ -361,20 +360,6 @@ func (r *recorder) record(interactive bool, d time.Duration) {
 	r.mu.Unlock()
 }
 
-func pctile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
-}
-
 // request runs one arrival to completion under the client retry policy.
 // inSpike marks arrivals whose outcome scores the spike phase.
 func (c *stampedeCell) request(rec *recorder, cfg StampedeConfig, interactive, inSpike bool, seq int) {
@@ -557,9 +542,9 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 		MaxStage:         overload.Stage(c.maxStage.Load()).String(),
 	}
 	rec.mu.Lock()
-	res.InteractiveP99 = pctile(rec.interactive, 0.99)
-	res.InteractiveP50 = pctile(rec.interactive, 0.50)
-	res.BrowseP99 = pctile(rec.browse, 0.99)
+	res.InteractiveP99 = stats.Percentile(rec.interactive, 0.99)
+	res.InteractiveP50 = stats.Percentile(rec.interactive, 0.50)
+	res.BrowseP99 = stats.Percentile(rec.browse, 0.99)
 	rec.mu.Unlock()
 	res.GoodputRPS = float64(res.Served+res.Degraded) / cfg.Spike.Seconds()
 	for _, r := range c.replicas {
@@ -597,6 +582,6 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 	if res.RecoverTime < 0 {
 		res.RecoverTime = 0
 	}
-	res.BaselineP99 = pctile(probes, 0.99)
+	res.BaselineP99 = stats.Percentile(probes, 0.99)
 	return res, nil
 }

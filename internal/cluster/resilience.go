@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/clockcache"
 )
 
 // Resilience machinery the chaos harness demanded: a per-replica circuit
@@ -110,49 +112,34 @@ func IsDegraded(err error) bool {
 // staleEntry is one cached read result.
 type staleEntry struct {
 	val   any
-	epoch uint64 // gateway write epoch at caching time
+	epoch uint64 // gateway write epoch at caching time, the cache's tag
 	at    time.Time
 }
 
 // staleCache holds the most recent successful result of anonymous browse
-// reads, keyed by method+affinity. Only public (tokenless) results are
-// ever stored, so degradation can never leak a private row to the wrong
-// session. Bounded by arbitrary eviction: the cache is a lifeboat, not a
-// performance path.
+// reads, keyed by method+affinity, on the shared CLOCK cache tagged with
+// the gateway write epoch. Only public (tokenless) results are ever
+// stored, so degradation can never leak a private row to the wrong
+// session.
 type staleCache struct {
-	mu      sync.RWMutex
-	max     int
-	entries map[string]staleEntry
+	c *clockcache.Cache[uint64, staleEntry]
 }
 
 func newStaleCache(max int) *staleCache {
-	return &staleCache{max: max, entries: make(map[string]staleEntry)}
+	return &staleCache{c: clockcache.New[uint64, staleEntry](max)}
 }
 
 func (c *staleCache) put(key string, val any, epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.entries[key]; !exists && len(c.entries) >= c.max {
-		for k := range c.entries { // evict one arbitrary entry
-			delete(c.entries, k)
-			break
-		}
-	}
-	c.entries[key] = staleEntry{val: val, epoch: epoch, at: time.Now()}
+	c.c.Put(key, epoch, staleEntry{val: val, at: time.Now()})
 }
 
 func (c *staleCache) get(key string) (staleEntry, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.entries[key]
+	e, epoch, ok := c.c.Get(key)
+	e.epoch = epoch
 	return e, ok
 }
 
-func (c *staleCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}
+func (c *staleCache) len() int { return c.c.Stats().Entries }
 
 // serveRead wraps one anonymous-cacheable gateway read. Successful
 // anonymous results refresh the stale cache; a failure that means "the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
@@ -125,26 +124,16 @@ func encodeSegment(seg *Segment) []byte {
 			}
 		}
 	}
-	crc := crc32.ChecksumIEEE(b.Bytes())
-	binary.LittleEndian.PutUint32(scratch[:4], crc)
-	b.Write(scratch[:4])
-	return b.Bytes()
+	return minidb.WireSeal(&b)
 }
 
 // decodeSegment parses file bytes back into a segment, verifying structure
 // and checksum. Any deviation is an error, never a partial segment.
 func decodeSegment(data []byte) (*Segment, error) {
-	if len(data) < len(segMagic)+4 {
-		return nil, fmt.Errorf("colseg: segment file too short (%d bytes)", len(data))
+	r, err := minidb.WireUnseal(data, segMagic)
+	if err != nil {
+		return nil, fmt.Errorf("colseg: segment: %w", err)
 	}
-	if !bytes.Equal(data[:len(segMagic)], segMagic) {
-		return nil, fmt.Errorf("colseg: bad segment magic")
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("colseg: segment checksum mismatch")
-	}
-	r := bytes.NewReader(body[len(segMagic):])
 	version, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
@@ -357,21 +346,14 @@ func encodeManifest(m *manifest) []byte {
 	for _, f := range m.Files {
 		minidb.WirePutString(&b, f)
 	}
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(b.Bytes()))
-	b.Write(crcb[:])
-	return b.Bytes()
+	return minidb.WireSeal(&b)
 }
 
 func decodeManifest(data []byte) (*manifest, error) {
-	if len(data) < len(manMagic)+4 || !bytes.Equal(data[:len(manMagic)], manMagic) {
-		return nil, fmt.Errorf("colseg: bad manifest")
+	r, err := minidb.WireUnseal(data, manMagic)
+	if err != nil {
+		return nil, fmt.Errorf("colseg: manifest: %w", err)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("colseg: manifest checksum mismatch")
-	}
-	r := bytes.NewReader(body[len(manMagic):])
 	version, err := binary.ReadUvarint(r)
 	if err != nil || version != segVersion {
 		return nil, fmt.Errorf("colseg: manifest version unsupported")

@@ -1,11 +1,14 @@
 package colseg
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/minidb"
@@ -121,4 +124,66 @@ func FuzzDecodeSegment(f *testing.F) {
 			a.finish()
 		}
 	})
+}
+
+// corpusFiles decodes the checked-in corpus of a fuzz target (go test
+// fuzz v1 files holding one []byte argument each).
+func corpusFiles(t *testing.T, target string) [][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checked-in corpus for %s (%v)", target, err)
+	}
+	var out [][]byte
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		out = append(out, []byte(s))
+	}
+	return out
+}
+
+// TestSegmentCorpusByteIdentity pins the CSG1 on-disk bytes: every
+// well-formed checked-in seed must re-encode to itself byte for byte.
+func TestSegmentCorpusByteIdentity(t *testing.T) {
+	wellFormed := 0
+	for i, seed := range corpusFiles(t, "FuzzDecodeSegment") {
+		seg, err := decodeSegment(seed)
+		if err != nil {
+			continue
+		}
+		wellFormed++
+		if re := encodeSegment(seg); !bytes.Equal(re, seed) {
+			t.Errorf("seed %d: re-encoding differs from the checked-in bytes", i)
+		}
+	}
+	if wellFormed < 3 {
+		t.Fatalf("only %d well-formed segment seeds, want >= 3", wellFormed)
+	}
+}
+
+// TestManifestGoldenBytes pins the CMF1 on-disk bytes against a manifest
+// encoded before the sealed-file codec was shared.
+func TestManifestGoldenBytes(t *testing.T) {
+	m := &manifest{Table: "events", Rewrites: 3, Covered: 192,
+		Files: []string{"events-0-64-3.seg", "events-64-128-3.seg", "events-128-192-3.seg"}}
+	const golden = "CMF1\x01\x06events\x03\xc0\x01\x03\x11events-0-64-3.seg\x13events-64-128-3.seg\x14events-128-192-3.segh\xf9e\xcc"
+	got := encodeManifest(m)
+	if string(got) != golden {
+		t.Fatalf("manifest bytes changed:\n got %q\nwant %q", got, golden)
+	}
+	back, err := decodeManifest(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, m) {
+		t.Fatalf("decoded %+v, want %+v", back, m)
+	}
 }

@@ -290,32 +290,11 @@ func (s *Store) persistTable(table string, ts *tableSegs) error {
 	for _, seg := range ts.segs {
 		name := segFileName(seg)
 		m.Files = append(m.Files, name)
-		if err := s.writeFile(s.segPath(name), encodeSegment(seg)); err != nil {
+		if err := minidb.ReplaceFile(s.fsys, s.segPath(name), 0o644, minidb.WriteBytes(encodeSegment(seg))); err != nil {
 			return err
 		}
 	}
-	return s.writeFile(s.manifestPath(table), encodeManifest(m))
-}
-
-// writeFile writes data durably and atomically: tmp, sync, rename.
-func (s *Store) writeFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := s.fsys.Create(tmp, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return s.fsys.Rename(tmp, path)
+	return minidb.ReplaceFile(s.fsys, s.manifestPath(table), 0o644, minidb.WriteBytes(encodeManifest(m)))
 }
 
 // RunAnalytics implements Runner.

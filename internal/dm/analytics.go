@@ -25,7 +25,7 @@ func (d *DM) Analytics(q colseg.Query) (*colseg.Result, error) {
 	db := d.routeDB(q.Table)
 	epoch := db.TableEpoch(q.Table)
 	key := "ana|" + colseg.Fingerprint(q)
-	if v, ok := d.cache.get(key, epoch); ok {
+	if v, cached, ok := d.cache.Get(key); ok && cached == epoch {
 		d.stats.AnalyticsCacheHits.Add(1)
 		return v.(*colseg.Result), nil
 	}
@@ -49,7 +49,7 @@ func (d *DM) Analytics(q colseg.Query) (*colseg.Result, error) {
 	} else {
 		d.stats.AnalyticsRowFall.Add(1)
 	}
-	d.cache.put(key, epoch, res)
+	d.cache.Put(key, epoch, res)
 	return res, nil
 }
 

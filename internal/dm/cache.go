@@ -3,7 +3,6 @@ package dm
 import (
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/minidb"
 )
@@ -21,56 +20,10 @@ import (
 // epoch read and the query, the entry is stored under the older epoch and
 // the next lookup misses — conservative, never stale-serving.
 
-type cacheEntry struct {
-	epoch uint64
-	val   any // *minidb.Result for row queries, *colseg.Result for analytics
-}
-
-type queryCache struct {
-	mu sync.Mutex
-	m  map[string]cacheEntry
-	// cap bounds memory: when the map grows past it, the whole map is
-	// dropped. Epoch churn retires entries anyway; this only guards
-	// against fingerprint cardinality blowup.
-	cap int
-}
-
-func newQueryCache(capacity int) *queryCache {
-	return &queryCache{m: make(map[string]cacheEntry), cap: capacity}
-}
-
-func (c *queryCache) get(key string, epoch uint64) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok || e.epoch != epoch {
-		return nil, false
-	}
-	return e.val, true
-}
-
-// getStale returns whatever entry sits under key regardless of its epoch
-// — the brownout ladder's stale-read rung. The caller decides whether a
-// commit-behind answer is acceptable; under overload it usually is, and
-// every stale serve is one less query against a tier that is drowning.
-func (c *queryCache) getStale(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	return e.val, true
-}
-
-func (c *queryCache) put(key string, epoch uint64, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) >= c.cap {
-		c.m = make(map[string]cacheEntry)
-	}
-	c.m[key] = cacheEntry{epoch: epoch, val: val}
-}
+// queryCacheSize bounds the query cache. Epoch churn retires entries
+// anyway; the bound only guards against fingerprint cardinality blowup,
+// and past it CLOCK eviction keeps the hot queries.
+const queryCacheSize = 4096
 
 // queryEpocher is the shard-aware refinement of TableEpoch: a sharded
 // engine (internal/shard.Router) scopes the epoch to the shards the query
@@ -96,16 +49,16 @@ func (d *DM) cachedQuery(q minidb.Query) (*minidb.Result, error) {
 		epoch = db.TableEpoch(q.Table)
 	}
 	key := fingerprint(q)
-	if v, ok := d.cache.get(key, epoch); ok {
-		d.stats.QueryCacheHits.Add(1)
-		return v.(*minidb.Result), nil
-	}
-	// Brownout rung 2: under sustained overload the ladder flips this on,
-	// and a fresh-epoch miss falls back to whatever epoch the cache still
-	// holds. Serving a commit-behind result costs staleness; querying a
-	// drowning database tier costs everyone's latency.
-	if d.serveStale.Load() {
-		if v, ok := d.cache.getStale(key); ok {
+	if v, cached, ok := d.cache.Get(key); ok {
+		if cached == epoch {
+			d.stats.QueryCacheHits.Add(1)
+			return v.(*minidb.Result), nil
+		}
+		// Brownout rung 2: under sustained overload the ladder flips this
+		// on, and a fresh-epoch miss falls back to whatever epoch the cache
+		// still holds. Serving a commit-behind result costs staleness;
+		// querying a drowning database tier costs everyone's latency.
+		if d.serveStale.Load() {
 			d.stats.StaleServes.Add(1)
 			return v.(*minidb.Result), nil
 		}
@@ -115,7 +68,7 @@ func (d *DM) cachedQuery(q minidb.Query) (*minidb.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.cache.put(key, epoch, res)
+	d.cache.Put(key, epoch, res)
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package dm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -210,22 +211,36 @@ func TestCatalogMemberListCached(t *testing.T) {
 	}
 }
 
-// TestCacheCapReset: overflowing the cap drops the map instead of growing
-// without bound; correctness is unaffected.
-func TestCacheCapReset(t *testing.T) {
-	c := newQueryCache(2)
-	r := &minidb.Result{Count: 7}
-	c.put("a", 1, r)
-	c.put("b", 1, r)
-	c.put("c", 1, r) // overflows: map reset, then c stored
-	if _, ok := c.get("a", 1); ok {
-		t.Fatal("entry a should have been dropped by the cap reset")
+// TestCacheFloodKeepsHotQueries: a flood of one-shot queries past the
+// cache cap recycles cold entries and never evicts the hot queries that
+// keep being read, so every miss during the flood is a one-shot key.
+func TestCacheFloodKeepsHotQueries(t *testing.T) {
+	d := newTestDM(t)
+	byID := func(id string) minidb.Query {
+		return minidb.Query{Table: schema.TableHLE, Count: true,
+			Where: []minidb.Pred{{Col: "hle_id", Op: minidb.OpEq, Val: minidb.S(id)}}}
 	}
-	if got, ok := c.get("c", 1); !ok || got.(*minidb.Result).Count != 7 {
-		t.Fatal("entry c should be present after the reset")
+	hot := []minidb.Query{byID("hot-0"), byID("hot-1"), byID("hot-2"), byID("hot-3")}
+	for _, q := range hot {
+		if _, err := d.cachedQuery(q); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := c.get("c", 2); ok {
-		t.Fatal("epoch mismatch must miss")
+	const flood = 5000 // past the 4096-entry cap
+	m0 := d.stats.QueryCacheMisses.Load()
+	for i := 0; i < flood; i++ {
+		if _, err := d.cachedQuery(byID(fmt.Sprintf("once-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.cachedQuery(hot[i%len(hot)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.stats.QueryCacheMisses.Load() - m0; got != flood {
+		t.Fatalf("%d misses during a %d-key flood: hot queries were evicted", got, flood)
+	}
+	if n := d.cache.Stats().Entries; n > queryCacheSize {
+		t.Fatalf("cache grew to %d entries past its %d cap", n, queryCacheSize)
 	}
 }
 

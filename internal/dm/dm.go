@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/clockcache"
 	"repro/internal/colseg"
 	"repro/internal/minidb"
 	"repro/internal/schema"
@@ -108,8 +109,8 @@ type DM struct {
 	pools map[minidb.Engine]*dbPools
 
 	sessions  *sessionCache
-	cache     *queryCache
-	analytics colseg.Runner // nil = resolve per call (engine or row fallback)
+	cache     *clockcache.Cache[uint64, any] // *minidb.Result or *colseg.Result
+	analytics colseg.Runner                  // nil = resolve per call (engine or row fallback)
 
 	seqMu  sync.Mutex
 	seqHi  map[string]int64 // next unpersisted id per prefix
@@ -175,7 +176,7 @@ func Open(opts Options) (*DM, error) {
 		logger:    opts.Logger,
 		pools:     make(map[minidb.Engine]*dbPools),
 		sessions:  newSessionCache(),
-		cache:     newQueryCache(4096),
+		cache:     clockcache.New[uint64, any](queryCacheSize),
 		analytics: opts.Analytics,
 		seqHi:     make(map[string]int64),
 		seqMax:    make(map[string]int64),

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/minidb"
 )
 
 // Compaction merges small or mostly-dead containers into one large
@@ -282,7 +284,7 @@ func (l *Lake) Compact(opts CompactOptions) (CompactResult, error) {
 		// depends on re-validation, and the lake's containers are small
 		// enough (bounded by MaxMerge) that this matches the archive
 		// tier's seal discipline.
-		if err := l.writeFileSync(filepath.Join(l.root, outRel), blob); err != nil {
+		if err := minidb.WriteFile(l.fsys, filepath.Join(l.root, outRel), 0o444, minidb.WriteBytes(blob)); err != nil {
 			l.mu.Unlock()
 			_ = l.fsys.Remove(filepath.Join(l.root, outRel))
 			return CompactResult{}, err

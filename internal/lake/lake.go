@@ -150,8 +150,8 @@ type Lake struct {
 	baseCtrs    map[string]Container
 	baseMembers map[string]memberRef
 
-	head    uint64
-	horizon uint64
+	head     uint64
+	horizon  uint64
 	ctrs     map[string]*ctrState
 	live     map[string]memberRef
 	pins     map[string]uint64 // pin token -> pinned commit
@@ -424,35 +424,7 @@ func (l *Lake) readHead() (uint64, error) {
 
 // publishHead writes the head pointer atomically: tmp + sync + rename.
 func (l *Lake) publishHead() error {
-	tmp := l.headPath() + ".tmp"
-	if err := l.writeFileSync(tmp, []byte(fmt.Sprintf("LHD1 %d\n", l.head))); err != nil {
-		return err
-	}
-	return l.fsys.Rename(tmp, l.headPath())
-}
-
-// writeFileSync creates abs with data and forces it to stable storage.
-// Containers are written read-only (0444, file data is immutable), so a
-// crash-orphaned file of a reused name must be unlinked first: Create
-// alone would fail with EACCES on the 0444 leftover for non-root users,
-// wedging exactly the recovery paths that rely on overwriting orphans.
-func (l *Lake) writeFileSync(abs string, data []byte) error {
-	if err := l.fsys.Remove(abs); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	f, err := l.fsys.Create(abs, 0o444)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return minidb.ReplaceFile(l.fsys, l.headPath(), 0o444, minidb.WriteBytes([]byte(fmt.Sprintf("LHD1 %d\n", l.head))))
 }
 
 // commit seals one record: append + fsync the journal (the acknowledgement
@@ -574,7 +546,7 @@ func (l *Lake) StoreBatch(files []BatchFile) (uint64, error) {
 		members[i].CRC = crc32Sum(f.Data)
 		blob = append(blob, f.Data...)
 	}
-	if err := l.writeFileSync(filepath.Join(l.root, ctrRel), blob); err != nil {
+	if err := minidb.WriteFile(l.fsys, filepath.Join(l.root, ctrRel), 0o444, minidb.WriteBytes(blob)); err != nil {
 		release()
 		_ = l.fsys.Remove(filepath.Join(l.root, ctrRel))
 		return 0, err
@@ -799,9 +771,9 @@ func (l *Lake) Status() Status {
 		Head: l.head, Horizon: l.horizon,
 		LiveFiles: len(l.live), LiveBytes: l.liveB, PhysBytes: l.physB,
 		JournalBytes: l.tailSize, Pins: len(l.pins),
-		Commits:     l.stats.Commits.Load(),
-		Compactions: l.stats.Compactions.Load(),
-		GCRuns:      l.stats.GCRuns.Load(),
+		Commits:        l.stats.Commits.Load(),
+		Compactions:    l.stats.Compactions.Load(),
+		GCRuns:         l.stats.GCRuns.Load(),
 		BytesReclaimed: l.stats.BytesReclaimed.Load(),
 	}
 	for _, cs := range l.ctrs {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -307,11 +308,7 @@ func (db *DB) Checkpoint() error {
 	if db.dir == "" {
 		return nil
 	}
-	tmp := filepath.Join(db.dir, snapshotName+".tmp")
-	if err := db.writeSnapshot(tmp); err != nil {
-		return err
-	}
-	if err := db.fs.Rename(tmp, filepath.Join(db.dir, snapshotName)); err != nil {
+	if err := ReplaceFile(db.fs, filepath.Join(db.dir, snapshotName), 0o644, db.writeSnapshot); err != nil {
 		return err
 	}
 	// The snapshot now covers everything up to its watermark; start a fresh
@@ -343,12 +340,8 @@ func (db *DB) Checkpoint() error {
 // writeSnapshot streams every table's published view straight through one
 // buffered writer — no staging of the full database image in memory, so
 // checkpointing a large database allocates O(bufio buffer), not O(data).
-func (db *DB) writeSnapshot(path string) error {
-	f, err := db.fs.Create(path, 0o644)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
+func (db *DB) writeSnapshot(w io.Writer) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
 	bw.WriteString(snapshotMagic)
 	// Txn watermark: everything at or below nextTxn is either published in
 	// the views serialized below or was rolled back — never replay it.
@@ -369,15 +362,7 @@ func (db *DB) writeSnapshot(path string) error {
 		})
 	}
 	// bufio errors are sticky: one Flush check covers every write above.
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return bw.Flush()
 }
 
 // loadSnapshot and replayWal run during Open, before any concurrent access

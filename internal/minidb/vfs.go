@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"errors"
 	"io"
 	"io/fs"
 	"os"
@@ -12,8 +13,9 @@ import (
 // can interpose a fault-injecting implementation (internal/fault) and crash
 // the "process" at any single I/O operation. Production code uses OSFS.
 //
-// The interface is deliberately consumer-sized: internal/archive declares a
-// structurally identical one, and internal/fault's FS satisfies both.
+// internal/archive and internal/lake alias this interface, and
+// internal/fault's FS implements it. Outside internal/fault, files are
+// created only through WriteFile and ReplaceFile.
 type VFS interface {
 	// MkdirAll creates a directory path (and parents) if absent.
 	MkdirAll(path string, perm fs.FileMode) error
@@ -43,6 +45,50 @@ type File interface {
 	// Size returns the current file size.
 	Size() (int64, error)
 	Close() error
+}
+
+// WriteFile creates path holding what write produces and forces it to
+// stable storage: unlink any leftover, Create, write, Sync, Close. The
+// unlink is the crash-litter fix: a read-only (0444) file orphaned by a
+// crash under a reused name would make Create fail with EACCES for
+// non-root users, wedging exactly the recovery paths that overwrite
+// orphans.
+func WriteFile(fsys VFS, path string, perm fs.FileMode, write func(io.Writer) error) error {
+	if err := fsys.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	f, err := fsys.Create(path, perm)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// ReplaceFile atomically replaces path: WriteFile to path+".tmp", then
+// Rename over path. A crash at any point leaves either the old content or
+// the new, never a torn file.
+func ReplaceFile(fsys VFS, path string, perm fs.FileMode, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	if err := WriteFile(fsys, tmp, perm, write); err != nil {
+		return err
+	}
+	return fsys.Rename(tmp, path)
+}
+
+// WriteBytes adapts an in-memory file image to WriteFile and ReplaceFile.
+func WriteBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
 }
 
 // OSFS is the production VFS, backed by the real filesystem.

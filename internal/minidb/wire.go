@@ -3,7 +3,9 @@ package minidb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 )
 
 // Exported wire codec. The dbnet package serves a database over TCP so
@@ -29,6 +31,34 @@ func WireVarint(r *bytes.Reader) (int64, error) { return binary.ReadVarint(r) }
 
 // WireString reads a length-prefixed string.
 func WireString(r *bytes.Reader) (string, error) { return getString(r) }
+
+// Sealed files (colseg's CSG1 segments and CMF1 manifests, the shard
+// map's SMAP1) share one whole-file layout: magic | body |
+// crc32-IEEE(magic+body) little-endian. A file is written whole and
+// replaced atomically, so any damage is rot, never a torn tail: one check
+// covers the file.
+
+// WireSeal finishes a sealed file: b holds magic|body; WireSeal appends
+// the checksum and returns the file bytes.
+func WireSeal(b *bytes.Buffer) []byte {
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(b.Bytes()))
+	b.Write(sum[:])
+	return b.Bytes()
+}
+
+// WireUnseal verifies a sealed file's magic and checksum and returns a
+// reader over the body between them.
+func WireUnseal(data, magic []byte) (*bytes.Reader, error) {
+	if len(data) < len(magic)+4 || !bytes.Equal(data[:len(magic)], magic) {
+		return nil, errors.New("bad magic")
+	}
+	body, sum := data[:len(data)-4], data[len(data)-4:]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(sum) {
+		return nil, errors.New("checksum mismatch")
+	}
+	return bytes.NewReader(body[len(magic):]), nil
+}
 
 // WirePutValue appends one tagged value.
 func WirePutValue(b *bytes.Buffer, v Value) { encodeValue(b, v) }

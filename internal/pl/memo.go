@@ -1,6 +1,10 @@
 package pl
 
-import "sync"
+import (
+	"sync/atomic"
+
+	"repro/internal/clockcache"
+)
 
 // Result memoization for the processing farm. Repeated analyses of quiet
 // periods dominate scientific load (canned views, re-run reports), and an
@@ -38,95 +42,35 @@ func (m MemoStats) HitRate() float64 {
 	return 0
 }
 
-// memoSlot is one CLOCK ring position: the entry plus its reference bit.
-type memoSlot struct {
-	key   string
-	epoch string
-	del   *Delivery
-	ref   bool
-}
-
 // memoCache maps canonical keys to deliveries tagged with the data epoch
-// they were computed against. Capacity overflow evicts ONE entry by the
-// CLOCK (second-chance) rule: the hand sweeps the ring, spares each
-// recently-hit entry once by clearing its reference bit, and replaces the
-// first entry found cold. A stampede of one-shot keys therefore recycles
-// the same cold slots while the hot working set — exactly the entries a
-// flare-alert crowd keeps re-reading — survives, which the old
-// drop-the-whole-map policy destroyed at the worst possible moment.
+// they were computed against, on the shared CLOCK cache (a stampede of
+// one-shot keys recycles cold slots while the hot working set — exactly
+// the entries a flare-alert crowd keeps re-reading — survives), and
+// counts hits and misses.
 type memoCache struct {
-	mu           sync.Mutex
-	index        map[string]int // key -> ring position
-	ring         []memoSlot
-	hand         int
-	cap          int
-	hits, misses int64
-	evictions    int64
+	c            *clockcache.Cache[string, *Delivery]
+	hits, misses atomic.Int64
 }
 
 func newMemoCache(capacity int) *memoCache {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &memoCache{
-		index: make(map[string]int, capacity),
-		ring:  make([]memoSlot, 0, capacity),
-		cap:   capacity,
-	}
+	return &memoCache{c: clockcache.New[string, *Delivery](capacity)}
 }
 
-// get returns the cached delivery if its epoch tag still matches, marking
-// the entry recently-used for the eviction sweep. Deliveries are SHARED
-// between callers — immutable by contract.
-func (c *memoCache) get(key, epoch string) (*Delivery, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i, ok := c.index[key]
-	if !ok || c.ring[i].epoch != epoch {
-		c.misses++
+// get returns the cached delivery if its epoch tag still matches.
+// Deliveries are SHARED between callers — immutable by contract.
+func (m *memoCache) get(key, epoch string) (*Delivery, bool) {
+	del, e, ok := m.c.Get(key)
+	if !ok || e != epoch {
+		m.misses.Add(1)
 		return nil, false
 	}
-	c.ring[i].ref = true
-	c.hits++
-	return c.ring[i].del, true
+	m.hits.Add(1)
+	return del, true
 }
 
-func (c *memoCache) put(key, epoch string, del *Delivery) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i, ok := c.index[key]; ok {
-		// Same parameters, fresh epoch: overwrite in place. The slot keeps
-		// its ring position and earns a reference — it is demonstrably live.
-		c.ring[i].epoch = epoch
-		c.ring[i].del = del
-		c.ring[i].ref = true
-		return
-	}
-	if len(c.ring) < c.cap {
-		c.index[key] = len(c.ring)
-		c.ring = append(c.ring, memoSlot{key: key, epoch: epoch, del: del})
-		return
-	}
-	// Full: sweep the hand until a cold slot turns up. Terminates within
-	// two laps — the first lap clears every reference bit at worst.
-	for {
-		s := &c.ring[c.hand]
-		if s.ref {
-			s.ref = false
-			c.hand = (c.hand + 1) % len(c.ring)
-			continue
-		}
-		delete(c.index, s.key)
-		c.evictions++
-		*s = memoSlot{key: key, epoch: epoch, del: del}
-		c.index[key] = c.hand
-		c.hand = (c.hand + 1) % len(c.ring)
-		return
-	}
-}
+func (m *memoCache) put(key, epoch string, del *Delivery) { m.c.Put(key, epoch, del) }
 
-func (c *memoCache) stats() MemoStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return MemoStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.index)}
+func (m *memoCache) stats() MemoStats {
+	st := m.c.Stats()
+	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Evictions: st.Evictions, Entries: st.Entries}
 }

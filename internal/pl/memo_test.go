@@ -209,72 +209,6 @@ func TestMemoDisabledBypassesCache(t *testing.T) {
 	}
 }
 
-// TestMemoClockKeepsHotEntries: a flood of one-shot keys past capacity
-// must recycle cold slots and spare the hot working set — the CLOCK
-// second-chance property the old drop-everything policy lacked.
-func TestMemoClockKeepsHotEntries(t *testing.T) {
-	c := newMemoCache(8)
-	del := &Delivery{}
-
-	// Establish a hot working set of 4 and touch it so every entry holds
-	// a reference bit.
-	for i := 0; i < 4; i++ {
-		c.put(fmt.Sprintf("hot-%d", i), "e1", del)
-	}
-	for i := 0; i < 4; i++ {
-		if _, ok := c.get(fmt.Sprintf("hot-%d", i), "e1"); !ok {
-			t.Fatalf("hot-%d missing before overflow", i)
-		}
-	}
-
-	// Stampede: 40 one-shot keys, 5x capacity, never read back — while the
-	// hot set keeps being read, as a flare-alert crowd keeps re-reading the
-	// same canned views. Each read renews the reference bit, so the hand
-	// finds the hot slots warm and recycles the cold ones instead.
-	for i := 0; i < 40; i++ {
-		c.put(fmt.Sprintf("cold-%d", i), "e1", del)
-		c.get(fmt.Sprintf("hot-%d", i%4), "e1")
-	}
-
-	for i := 0; i < 4; i++ {
-		if _, ok := c.get(fmt.Sprintf("hot-%d", i), "e1"); !ok {
-			t.Fatalf("hot-%d evicted by a one-shot stampede", i)
-		}
-	}
-	st := c.stats()
-	if st.Entries > 8 {
-		t.Fatalf("cache grew to %d entries past cap 8", st.Entries)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("overflow evicted nothing")
-	}
-}
-
-// TestMemoClockOverwriteInPlace: re-putting an existing key (fresh epoch)
-// must not consume a new slot or evict anyone.
-func TestMemoClockOverwriteInPlace(t *testing.T) {
-	c := newMemoCache(4)
-	del := &Delivery{}
-	for i := 0; i < 4; i++ {
-		c.put(fmt.Sprintf("k-%d", i), "e1", del)
-	}
-	for e := 2; e < 10; e++ {
-		c.put("k-0", fmt.Sprintf("e%d", e), del)
-	}
-	st := c.stats()
-	if st.Evictions != 0 {
-		t.Fatalf("in-place overwrites evicted %d entries", st.Evictions)
-	}
-	if _, ok := c.get("k-0", "e9"); !ok {
-		t.Fatal("latest epoch not served after overwrites")
-	}
-	for i := 1; i < 4; i++ {
-		if _, ok := c.get(fmt.Sprintf("k-%d", i), "e1"); !ok {
-			t.Fatalf("k-%d lost to an overwrite of a different key", i)
-		}
-	}
-}
-
 func TestMemoStatsHitRate(t *testing.T) {
 	var m MemoStats
 	if m.HitRate() != 0 {

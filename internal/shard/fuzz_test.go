@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -233,4 +234,36 @@ func sharedFuzzRouter(t *testing.T) *Router {
 		t.Fatal(fuzzRouterErr)
 	}
 	return fuzzRouter
+}
+
+// TestShardMapCorpusByteIdentity pins the SMAP1 on-disk bytes: every
+// well-formed checked-in seed must re-encode to itself byte for byte.
+func TestShardMapCorpusByteIdentity(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecodeShardMap", "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checked-in FuzzDecodeShardMap corpus (%v)", err)
+	}
+	wellFormed := 0
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		m, err := DecodeMap([]byte(s))
+		if err != nil {
+			continue
+		}
+		wellFormed++
+		if re := EncodeMap(m); string(re) != s {
+			t.Errorf("%s: re-encoding differs from the checked-in bytes", p)
+		}
+	}
+	if wellFormed < 5 {
+		t.Fatalf("only %d well-formed shard map seeds, want >= 5", wellFormed)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"sort"
 
@@ -213,24 +212,16 @@ func EncodeMap(m *Map) []byte {
 			minidb.WirePutUvarint(&b, uint64(s))
 		}
 	}
-	sum := crc32.ChecksumIEEE(b.Bytes())
-	b.Write([]byte{byte(sum), byte(sum >> 8), byte(sum >> 16), byte(sum >> 24)})
-	return b.Bytes()
+	return minidb.WireSeal(&b)
 }
 
 // DecodeMap parses and validates an on-disk shard map.
 func DecodeMap(data []byte) (*Map, error) {
-	if len(data) < len(mapMagic)+4 || !bytes.Equal(data[:len(mapMagic)], mapMagic) {
-		return nil, errors.New("shard: bad map magic")
+	r, err := minidb.WireUnseal(data, mapMagic)
+	if err != nil {
+		return nil, fmt.Errorf("shard: map: %w", err)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	sum := uint32(tail[0]) | uint32(tail[1])<<8 | uint32(tail[2])<<16 | uint32(tail[3])<<24
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, errors.New("shard: map checksum mismatch")
-	}
-	r := bytes.NewReader(body[len(mapMagic):])
 	m := &Map{}
-	var err error
 	if m.Version, err = minidb.WireUvarint(r); err != nil {
 		return nil, fmt.Errorf("shard: map version: %w", err)
 	}
@@ -301,24 +292,8 @@ func SaveMap(vfs minidb.VFS, dir string, m *Map) error {
 	if err := vfs.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: map dir: %w", err)
 	}
-	tmp := dir + "/" + mapFile + ".tmp"
-	f, err := vfs.Create(tmp, 0o644)
-	if err != nil {
-		return fmt.Errorf("shard: map tmp: %w", err)
-	}
-	if _, err := f.Write(EncodeMap(m)); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: map write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: map sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("shard: map close: %w", err)
-	}
-	if err := vfs.Rename(tmp, dir+"/"+mapFile); err != nil {
-		return fmt.Errorf("shard: map rename: %w", err)
+	if err := minidb.ReplaceFile(vfs, dir+"/"+mapFile, 0o644, minidb.WriteBytes(EncodeMap(m))); err != nil {
+		return fmt.Errorf("shard: save map: %w", err)
 	}
 	return nil
 }

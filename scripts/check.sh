@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full verification: vet, build, the full test suite (which includes the
+# Full verification: vet, build, the non-test Go line count (net lines
+# removed is a reported metric), the full test suite (which includes the
 # sharded-cell smoke and the scaled-down Figure 5 sharded sweep with its
 # bit-identical scatter-gather oracle), a short-mode race lane, the
 # crash-recovery and network-chaos harnesses under -race (both enumerate
@@ -21,6 +22,9 @@ go vet ./...
 
 echo "==> go build"
 go build ./...
+
+echo "==> non-test Go lines outside perfbench/"
+make -s loc
 
 echo "==> go test"
 go test ./...
