@@ -68,8 +68,8 @@ torture:
 chaos:
 	$(GO) test -race -count=1 -v ./internal/chaos/
 
-# fuzz runs each WAL, dbnet wire, columnar segment, shard map/merge and
-# lake journal fuzz target for 30s.
+# fuzz runs each WAL, dbnet wire, columnar segment, shard map/merge, lake
+# journal and pre-lake manifest loader fuzz target for 30s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWalOp$$' -fuzztime 30s ./internal/minidb/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime 30s ./internal/minidb/
@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShardMap$$' -fuzztime 30s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeReplies$$' -fuzztime 30s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 30s ./internal/lake/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime 30s ./internal/archive/
 
 # loc prints the non-test Go line count outside perfbench/, so each change
 # can report the net lines it removed.

@@ -9,7 +9,7 @@ import (
 
 func newTestArchive(t *testing.T, kind Kind, capacity int64) *Archive {
 	t.Helper()
-	a, err := New("ar1", kind, t.TempDir(), capacity)
+	a, err := NewLake("ar1", kind, t.TempDir(), capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +106,22 @@ func TestReadMissing(t *testing.T) {
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	a, err := New("ar1", Disk, dir, 0)
+	a, err := NewLake("ar1", Disk, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Store("f", []byte("pristine")); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the file behind the archive's back.
-	abs := filepath.Join(dir, "f")
-	if err := os.Chmod(abs, 0o644); err != nil {
+	// Corrupt the member's container behind the archive's back.
+	ctrs, err := filepath.Glob(filepath.Join(dir, "containers", "*"))
+	if err != nil || len(ctrs) != 1 {
+		t.Fatalf("containers: %v, %v", ctrs, err)
+	}
+	if err := os.Chmod(ctrs[0], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(abs, []byte("tampered!"), 0o644); err != nil {
+	if err := os.WriteFile(ctrs[0], []byte("tampered"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Read("f"); !errors.Is(err, ErrCorrupt) {
@@ -132,11 +135,11 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 
 func TestManifestSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	a, _ := New("ar1", Disk, dir, 0)
+	a, _ := NewLake("ar1", Disk, dir, 0)
 	a.Store("x/one", []byte("1"))
 	a.Store("x/two", []byte("22"))
 
-	b, err := New("ar1", Disk, dir, 0)
+	b, err := NewLake("ar1", Disk, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestManifestSurvivesReopen(t *testing.T) {
 
 func TestRemoveUpdatesStateAndManifest(t *testing.T) {
 	dir := t.TempDir()
-	a, _ := New("ar1", Disk, dir, 0)
+	a, _ := NewLake("ar1", Disk, dir, 0)
 	a.Store("f", []byte("xyz"))
 	if err := a.Remove("f"); err != nil {
 		t.Fatal(err)
@@ -159,9 +162,9 @@ func TestRemoveUpdatesStateAndManifest(t *testing.T) {
 	if a.Exists("f") || a.Used() != 0 {
 		t.Fatal("remove did not update state")
 	}
-	b, _ := New("ar1", Disk, dir, 0)
+	b, _ := NewLake("ar1", Disk, dir, 0)
 	if b.Exists("f") {
-		t.Fatal("removed file resurrected from manifest")
+		t.Fatal("removed file resurrected on reopen")
 	}
 	if err := a.Remove("f"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double remove err = %v", err)
@@ -187,7 +190,7 @@ func TestList(t *testing.T) {
 
 func TestCopyBetweenArchives(t *testing.T) {
 	src := newTestArchive(t, Disk, 0)
-	dst, _ := New("tape1", Tape, t.TempDir(), 0)
+	dst, _ := NewLake("tape1", Tape, t.TempDir(), 0)
 	src.Store("unit/f1", []byte("payload"))
 	if err := Copy(src, dst, "unit/f1"); err != nil {
 		t.Fatal(err)
@@ -225,8 +228,8 @@ func TestOpenStreams(t *testing.T) {
 
 func TestSetRegistry(t *testing.T) {
 	s := NewSet()
-	a1, _ := New("disk1", Disk, t.TempDir(), 0)
-	a2, _ := New("tape1", Tape, t.TempDir(), 0)
+	a1, _ := NewLake("disk1", Disk, t.TempDir(), 0)
+	a2, _ := NewLake("tape1", Tape, t.TempDir(), 0)
 	if err := s.Add(a1); err != nil {
 		t.Fatal(err)
 	}

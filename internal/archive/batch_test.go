@@ -58,18 +58,18 @@ func TestStoreBatchRoundTrip(t *testing.T) {
 
 func TestStoreBatchSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	a, err := New("ar1", Disk, dir, 0)
+	a, err := NewLake("ar1", Disk, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.StoreBatch(batchOf("a/one", "1111", "b/two", "22")); err != nil {
 		t.Fatal(err)
 	}
-	// A plain store after the batch must coexist in the same manifest.
+	// A single-file store after the batch must coexist in the same journal.
 	if err := a.Store("c/three", []byte("333")); err != nil {
 		t.Fatal(err)
 	}
-	b, err := New("ar1", Disk, dir, 0)
+	b, err := NewLake("ar1", Disk, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestStoreBatchSurvivesReopen(t *testing.T) {
 		t.Fatalf("used drift: %d != %d", b.Used(), a.Used())
 	}
 	// And a fresh batch on the reopened archive must not collide with the
-	// existing container file.
+	// existing container.
 	if err := b.StoreBatch(batchOf("d/four", "4444")); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestStoreBatchRemoveMembers(t *testing.T) {
 	if a.Len() != 0 || a.Used() != 0 {
 		t.Fatalf("len=%d used=%d", a.Len(), a.Used())
 	}
-	// Container gone: re-storing the same member names must work.
+	// Both members tombstoned: re-storing the same names must work.
 	if err := a.StoreBatch(batchOf("m/a", "again")); err != nil {
 		t.Fatal(err)
 	}

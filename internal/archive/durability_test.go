@@ -12,16 +12,15 @@ import (
 // newFaultArchive opens an archive over a fault filesystem.
 func newFaultArchive(t *testing.T, fs *fault.FS) *archive.Archive {
 	t.Helper()
-	a, err := archive.NewVFS(fs, "t0", archive.Disk, "arch", 0)
+	a, err := archive.NewLakeVFS(fs, "t0", archive.Disk, "arch", 0)
 	if err != nil {
 		t.Fatalf("open archive: %v", err)
 	}
 	return a
 }
 
-// TestAcknowledgedStoreSurvivesCrash is the regression for the unsynced
-// manifest append: once Store returns, a power cut that drops every
-// unsynced byte must not lose the file or its manifest entry.
+// TestAcknowledgedStoreSurvivesCrash: once Store returns, a power cut that
+// drops every unsynced byte must not lose the file or its journal commit.
 func TestAcknowledgedStoreSurvivesCrash(t *testing.T) {
 	fs := fault.NewFS()
 	a := newFaultArchive(t, fs)
@@ -50,45 +49,10 @@ func TestAcknowledgedStoreSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestTornManifestLineTolerated writes a store whose manifest append is torn
-// mid-line by the crash; reload must silently drop the torn final line and
-// keep every line before it.
-func TestTornManifestLineTolerated(t *testing.T) {
-	for site := 1; ; site++ {
-		fs := fault.NewFS()
-		a := newFaultArchive(t, fs)
-		if err := a.Store("log/first.log", []byte("first")); err != nil {
-			t.Fatalf("store first: %v", err)
-		}
-		base := fs.OpCount()
-		fs.SetFault(base+site, fault.ModeTorn)
-		err := a.Store("log/second.log", []byte("second"))
-		if err == nil {
-			// site walked past the second store's last operation: the torn
-			// window is fully covered.
-			if site == 1 {
-				t.Fatal("fault never fired")
-			}
-			return
-		}
-		fs.Recover()
-		a2 := newFaultArchive(t, fs)
-		got, rerr := a2.Read("log/first.log")
-		if rerr != nil || string(got) != "first" {
-			t.Fatalf("site %d: first store damaged by torn crash: %q, %v", site, got, rerr)
-		}
-		// The second store may have made it in whole or not at all — but if
-		// listed, its bytes must be intact.
-		if data, rerr := a2.Read("log/second.log"); rerr == nil && string(data) != "second" {
-			t.Fatalf("site %d: torn manifest surfaced wrong content: %q", site, data)
-		}
-	}
-}
-
 // TestRemoveCrashNeverLosesOtherFiles enumerates every crash site of a
 // Remove: whatever the interleaving, files that were not being removed stay
-// intact, and the manifest never points at the deleted file's missing bytes
-// with wrong content.
+// intact, the removed file is either intact or gone, and an acknowledged
+// removal stays removed.
 func TestRemoveCrashNeverLosesOtherFiles(t *testing.T) {
 	for site := 1; ; site++ {
 		fs := fault.NewFS()
@@ -102,7 +66,8 @@ func TestRemoveCrashNeverLosesOtherFiles(t *testing.T) {
 		base := fs.OpCount()
 		fs.SetFault(base+site, fault.ModeCrash)
 		err := a.Remove("a/drop.dat")
-		if err == nil {
+		if !fs.Crashed() {
+			// site walked past the remove's last operation.
 			if site == 1 {
 				t.Fatal("fault never fired")
 			}
@@ -113,21 +78,26 @@ func TestRemoveCrashNeverLosesOtherFiles(t *testing.T) {
 		if got, rerr := a2.Read("a/keep.dat"); rerr != nil || string(got) != "keep" {
 			t.Fatalf("site %d: unrelated file damaged by crashed remove: %q, %v", site, got, rerr)
 		}
-		// The removed file either still exists intact or is fully gone.
+		// The removed file either still exists intact or is fully gone —
+		// and gone for sure once the remove was acknowledged (a crash in
+		// post-acknowledgement I/O leaves err nil).
 		if got, rerr := a2.Read("a/drop.dat"); rerr == nil {
+			if err == nil {
+				t.Fatalf("site %d: acknowledged remove undone by crash", site)
+			}
 			if string(got) != "drop" {
 				t.Fatalf("site %d: half-removed file has wrong content: %q", site, got)
 			}
 		} else if !errors.Is(rerr, archive.ErrNotFound) {
-			t.Fatalf("site %d: manifest points at missing bytes: %v", site, rerr)
+			t.Fatalf("site %d: journal points at missing bytes: %v", site, rerr)
 		}
 	}
 }
 
 // TestStoreBatchCrashAtomic enumerates every crash site of a StoreBatch:
 // after recovery either every member of the batch is readable with the right
-// bytes, or none is listed — never a partial batch, and never damage to
-// files stored before it.
+// bytes, or none is listed — never a partial batch, never a lost
+// acknowledged one, and never damage to files stored before it.
 func TestStoreBatchCrashAtomic(t *testing.T) {
 	members := []archive.BatchFile{
 		{Rel: "u/raw.fits.gz", Data: []byte("raw-bytes")},
@@ -143,7 +113,7 @@ func TestStoreBatchCrashAtomic(t *testing.T) {
 		base := fs.OpCount()
 		fs.SetFault(base+site, fault.ModeCrash)
 		err := a.StoreBatch(members)
-		if err == nil {
+		if !fs.Crashed() {
 			if site == 1 {
 				t.Fatal("fault never fired")
 			}
@@ -168,6 +138,9 @@ func TestStoreBatchCrashAtomic(t *testing.T) {
 		}
 		if listed != 0 && listed != len(members) {
 			t.Fatalf("site %d: partial batch surfaced: %d of %d members", site, listed, len(members))
+		}
+		if err == nil && listed == 0 {
+			t.Fatalf("site %d: acknowledged batch lost", site)
 		}
 	}
 }

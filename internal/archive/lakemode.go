@@ -3,26 +3,27 @@ package archive
 import (
 	"errors"
 	"fmt"
-	"io"
+	"hash/crc32"
 	"io/fs"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/lake"
 	"repro/internal/minidb"
 )
 
-// Lake mode: an archive whose source of truth is the lake's commit journal
-// instead of MANIFEST.crc. The Archive surface (Store/StoreBatch/Read/
-// Remove/...) is unchanged — dm keeps addressing members by relative path —
-// but every mutation becomes a journal commit, which buys the archive
-// time travel (OpenAt serves the catalog as of any commit), background
-// compaction of small pack containers, and GC that provably never deletes
-// bytes a live or pinned view still references. The manifest-mode code
-// paths are untouched; fixtures and relocation targets keep using them.
+// Every archive is a lake: the commit journal is the source of truth and
+// every mutation is a journal commit, which buys the archive time travel
+// (OpenAt serves the catalog as of any commit), background compaction of
+// small containers, and GC that provably never deletes bytes a live or
+// pinned view still references. The only other on-disk format an archive
+// still understands is the pre-lake MANIFEST.crc store, and only to import
+// it once, on first open (migrateManifest).
 
-// NewLake opens (or creates) a journal-backed archive rooted at dir.
+// NewLake opens (or creates) an archive rooted at dir. capacityBytes of 0
+// means unlimited. A pre-lake archive in dir is imported first.
 func NewLake(id string, kind Kind, dir string, capacityBytes int64) (*Archive, error) {
 	return NewLakeVFS(minidb.OSFS, id, kind, dir, capacityBytes)
 }
@@ -37,106 +38,25 @@ func NewLakeVFS(fsys VFS, id string, kind Kind, dir string, capacityBytes int64)
 	if err != nil {
 		return nil, err
 	}
-	// A directory that already holds a manifest-mode archive (pre-lake
-	// deployment) is imported into the journal before first use: opening
-	// it as an empty lake would orphan every file the location tables
-	// still reference.
-	if err := migrateManifest(fsys, kind, dir, lk); err != nil {
+	// A directory that already holds a pre-lake archive is imported into
+	// the journal before first use: opening it as an empty lake would
+	// orphan every file the location tables still reference.
+	if err := migrateManifest(fsys, dir, lk); err != nil {
 		return nil, fmt.Errorf("archive: manifest→lake migration of %s: %w", dir, err)
 	}
-	return &Archive{
-		id: id, kind: kind, root: dir, fsys: fsys, online: true,
-		capacity: capacityBytes, files: make(map[string]fileMeta),
-		pending: make(map[string]bool), lk: lk,
-	}, nil
+	a := &Archive{id: id, kind: kind, root: dir, capacity: capacityBytes, lk: lk}
+	a.online.Store(true)
+	return a, nil
 }
 
-// migratedManifestName is where a consumed manifest is parked: its
-// presence marks a completed migration, its absence alongside a
-// MANIFEST.crc marks one to (re)run. Kept rather than deleted so an
-// operator can audit what the journal was seeded from.
-const migratedManifestName = manifestName + ".migrated"
-
-// migrateManifest imports a legacy manifest-mode archive into the journal:
-// every manifest member is read back (CRC-verified), stored through the
-// lake in bounded batches, and only then is the manifest moved aside and
-// the legacy bytes dropped. The steps are idempotent — a crash anywhere
-// resumes on the next open, skipping members the journal already holds —
-// and ordered so the journal owns a member's bytes before the manifest
-// copy can disappear.
-func migrateManifest(fsys VFS, kind Kind, dir string, lk *lake.Lake) error {
-	manifest := filepath.Join(dir, manifestName)
-	if _, err := fsys.ReadFile(manifest); errors.Is(err, fs.ErrNotExist) {
-		return nil
-	} else if err != nil {
-		return err
-	}
-	legacy, err := NewVFS(fsys, "legacy", kind, dir, 0)
-	if err != nil {
-		return err
-	}
-
-	var batch []lake.BatchFile
-	var batchBytes int64
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		_, err := lk.StoreBatch(batch)
-		batch, batchBytes = nil, 0
-		return err
-	}
-	for _, rel := range legacy.List() {
-		if lk.Exists(rel) {
-			continue // an earlier interrupted migration already moved it
-		}
-		data, err := legacy.Read(rel)
-		if err != nil {
-			return fmt.Errorf("member %s: %w", rel, err)
-		}
-		batch = append(batch, lake.BatchFile{Rel: rel, Data: data})
-		batchBytes += int64(len(data))
-		if batchBytes >= 32<<20 {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-
-	// Seal: park the manifest, then drop the now-redundant legacy bytes.
-	// A crash between the two leaves unreferenced orphans, never a member
-	// whose only copy is gone.
-	if err := fsys.Rename(manifest, filepath.Join(dir, migratedManifestName)); err != nil {
-		return err
-	}
-	packs := make(map[string]bool)
-	for rel, meta := range legacy.files {
-		if meta.pack != "" {
-			packs[meta.pack] = true
-			continue
-		}
-		_ = fsys.Remove(filepath.Join(dir, rel))
-	}
-	for pack := range packs {
-		_ = fsys.Remove(filepath.Join(dir, pack))
-	}
-	return nil
-}
-
-// Lake returns the journal store behind a lake-mode archive (nil in
-// manifest mode). Callers use it for time travel, compaction, GC and
-// stats; the Archive surface covers everything else.
+// Lake returns the journal store behind the archive. Callers use it for
+// time travel, compaction, GC and stats; the Archive surface covers
+// everything else.
 func (a *Archive) Lake() *lake.Lake { return a.lk }
 
 // OpenAt opens a read-only view of the archive as of commit seq (0 = the
 // current head), durably pinned against GC until the view is closed.
 func (a *Archive) OpenAt(seq uint64) (*lake.View, error) {
-	if a.lk == nil {
-		return nil, fmt.Errorf("archive: %s is not journal-backed", a.id)
-	}
 	if !a.Online() {
 		return nil, ErrOffline
 	}
@@ -144,7 +64,7 @@ func (a *Archive) OpenAt(seq uint64) (*lake.View, error) {
 }
 
 // mapLakeErr translates lake sentinel errors into the archive's, so
-// existing callers keep matching errors.Is(err, archive.ErrNotFound) etc.
+// callers keep matching errors.Is(err, archive.ErrNotFound) etc.
 func mapLakeErr(err error) error {
 	switch {
 	case err == nil:
@@ -167,62 +87,176 @@ func trimLakePrefix(err error) string {
 	return s
 }
 
-// lakeStoreBatch is StoreBatch in lake mode: one container, one journal
-// commit. Capacity is enforced against physical bytes (history included),
-// since that is what the tier actually holds until GC runs.
-func (a *Archive) lakeStoreBatch(files []BatchFile) error {
-	if !a.Online() {
-		return ErrOffline
+// --- pre-lake import --------------------------------------------------------
+//
+// Before the lake, an archive was a MANIFEST.crc of "rel size crc" lines
+// (a plain file under dir/rel) and "rel size crc pack off" lines (a member
+// at byte off of the container dir/pack). That store is read here and
+// nowhere else: nothing writes it any more.
+
+const (
+	manifestName = "MANIFEST.crc"
+	// migratedManifestName is where a consumed manifest is parked: its
+	// presence marks a completed migration, its absence alongside a
+	// MANIFEST.crc marks one to (re)run. Kept rather than deleted so an
+	// operator can audit what the journal was seeded from.
+	migratedManifestName = manifestName + ".migrated"
+)
+
+// fileMeta is one manifest member.
+type fileMeta struct {
+	size int64
+	crc  uint32
+	pack string // container file (archive-relative) holding the bytes; "" = own file
+	off  int64  // byte offset within pack
+}
+
+// migrateManifest imports a pre-lake archive into the journal: every
+// manifest member is read back (CRC-verified), stored through the lake in
+// bounded batches, and only then is the manifest moved aside and the
+// legacy bytes dropped. The steps are idempotent — a crash anywhere
+// resumes on the next open, skipping members the journal already holds —
+// and ordered so the journal owns a member's bytes before the manifest
+// copy can disappear.
+func migrateManifest(fsys VFS, dir string, lk *lake.Lake) error {
+	files, err := loadManifest(fsys, dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	var total int64
-	lf := make([]lake.BatchFile, len(files))
-	for i, f := range files {
-		lf[i] = lake.BatchFile{Rel: f.Rel, Day: f.Day, Data: f.Data}
-		total += int64(len(f.Data))
+	if err != nil {
+		return err
 	}
-	if cap := a.capacityBytes(); cap > 0 {
-		if used := a.lk.PhysBytes(); used+total > cap {
-			return fmt.Errorf("%w: batch needs %d bytes, %d left", ErrFull, total, cap-used)
+	rels := make([]string, 0, len(files))
+	for rel := range files {
+		rels = append(rels, rel)
+	}
+	sort.Strings(rels)
+
+	var batch []lake.BatchFile
+	var batchBytes int64
+	flush := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		_, err := lk.StoreBatch(batch)
+		batch, batchBytes = nil, 0
+		return err
+	}
+	for _, rel := range rels {
+		if lk.Exists(rel) {
+			continue // an earlier interrupted migration already moved it
+		}
+		data, err := readMember(fsys, dir, rel, files[rel])
+		if err != nil {
+			return fmt.Errorf("member %s: %w", rel, err)
+		}
+		batch = append(batch, lake.BatchFile{Rel: rel, Data: data})
+		batchBytes += int64(len(data))
+		if batchBytes >= 32<<20 {
+			if err := flush(); err != nil {
+				return err
+			}
 		}
 	}
-	_, err := a.lk.StoreBatch(lf)
-	return mapLakeErr(err)
-}
-
-func (a *Archive) capacityBytes() int64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.capacity
-}
-
-// lakeRead is Read in lake mode (CRC-verified by the lake).
-func (a *Archive) lakeRead(rel string) ([]byte, error) {
-	if !a.Online() {
-		return nil, ErrOffline
+	if err := flush(); err != nil {
+		return err
 	}
-	if d := a.kind.latency(); d > 0 {
-		time.Sleep(d)
+
+	// Seal: park the manifest, then drop the now-redundant legacy bytes.
+	// A crash between the two leaves unreferenced orphans, never a member
+	// whose only copy is gone. Every rel passed the lake's path check
+	// above, so none of these removals can leave dir.
+	if err := fsys.Rename(filepath.Join(dir, manifestName), filepath.Join(dir, migratedManifestName)); err != nil {
+		return err
 	}
-	data, err := a.lk.Read(rel)
-	return data, mapLakeErr(err)
+	packs := make(map[string]bool)
+	for rel, meta := range files {
+		if meta.pack != "" {
+			packs[meta.pack] = true
+			continue
+		}
+		_ = fsys.Remove(filepath.Join(dir, rel))
+	}
+	for pack := range packs {
+		_ = fsys.Remove(filepath.Join(dir, pack))
+	}
+	return nil
 }
 
-// lakeOpen is Open in lake mode: members live inside containers, so the
-// bytes are materialized (there is no per-member file to stream).
-func (a *Archive) lakeOpen(rel string) (io.ReadCloser, error) {
-	data, err := a.lakeRead(rel)
+// loadManifest parses dir's MANIFEST.crc into its members (an error
+// satisfying errors.Is(err, fs.ErrNotExist) when there is none). A
+// malformed final line with no newline terminator is the torn tail of an
+// append interrupted by a crash — the store it belonged to was never
+// acknowledged — so it is dropped. A malformed line anywhere else (or a
+// terminated bad line) is real corruption and refuses the whole manifest.
+func loadManifest(fsys VFS, dir string) (map[string]fileMeta, error) {
+	data, err := fsys.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, err
 	}
-	return io.NopCloser(strings.NewReader(string(data))), nil
+	files := make(map[string]fileMeta)
+	lines := strings.Split(string(data), "\n")
+	for i, line := range lines {
+		if line == "" {
+			continue
+		}
+		parts := strings.Split(line, "\t")
+		bad := ""
+		if len(parts) != 3 && len(parts) != 5 {
+			bad = "shape"
+		}
+		var size, off int64
+		var crc uint64
+		pack := ""
+		if bad == "" {
+			if size, err = strconv.ParseInt(parts[1], 10, 64); err != nil {
+				bad = "size"
+			}
+		}
+		if bad == "" {
+			if crc, err = strconv.ParseUint(parts[2], 10, 32); err != nil {
+				bad = "crc"
+			}
+		}
+		if bad == "" && len(parts) == 5 {
+			pack = parts[3]
+			if off, err = strconv.ParseInt(parts[4], 10, 64); err != nil {
+				bad = "offset"
+			}
+		}
+		if bad != "" {
+			if i == len(lines)-1 {
+				break
+			}
+			return nil, fmt.Errorf("archive: malformed manifest %s in line %q", bad, line)
+		}
+		files[parts[0]] = fileMeta{size: size, crc: uint32(crc), pack: pack, off: off}
+	}
+	return files, nil
 }
 
-// lakeRemove is Remove in lake mode: a tombstone commit. The bytes stay
-// readable through pinned older commits until GC retires them.
-func (a *Archive) lakeRemove(rel string) error {
-	if !a.Online() {
-		return ErrOffline
+// readMember fetches one manifest member's bytes — its own file, or its
+// slice of a container — and verifies them against the manifest CRC.
+func readMember(fsys VFS, dir, rel string, meta fileMeta) ([]byte, error) {
+	var data []byte
+	if meta.pack == "" {
+		var err error
+		if data, err = fsys.ReadFile(filepath.Join(dir, rel)); err != nil {
+			return nil, err
+		}
+	} else {
+		blob, err := fsys.ReadFile(filepath.Join(dir, meta.pack))
+		if err != nil {
+			return nil, err
+		}
+		n := int64(len(blob))
+		if meta.off < 0 || meta.size < 0 || meta.size > n || meta.off > n-meta.size {
+			return nil, fmt.Errorf("%w: %s (container %s truncated)", ErrCorrupt, rel, meta.pack)
+		}
+		data = blob[meta.off : meta.off+meta.size]
 	}
-	_, err := a.lk.Delete([]string{rel})
-	return mapLakeErr(err)
+	if crc32.ChecksumIEEE(data) != meta.crc {
+		return nil, fmt.Errorf("%w: %s", ErrCorrupt, rel)
+	}
+	return data, nil
 }

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/lake"
@@ -24,13 +27,10 @@ func newLakeArchive(t *testing.T) *Archive {
 	return a
 }
 
-// TestLakeModeSurface drives the whole Archive surface in lake mode and
-// checks the manifest-mode error contract holds.
+// TestLakeModeSurface drives the whole Archive surface and checks its
+// error contract.
 func TestLakeModeSurface(t *testing.T) {
 	a := newLakeArchive(t)
-	if a.Lake() == nil {
-		t.Fatal("Lake() nil in lake mode")
-	}
 
 	if err := a.Store("fits.gz/u1.fits.gz", []byte("raw-unit")); err != nil {
 		t.Fatalf("store: %v", err)
@@ -86,7 +86,7 @@ func TestLakeModeSurface(t *testing.T) {
 		t.Fatalf("double remove: %v", err)
 	}
 
-	// Offline archives reject everything, as in manifest mode.
+	// Offline archives reject everything.
 	a.SetOnline(false)
 	if _, err := a.Read("fits.gz/u1.fits.gz"); !errors.Is(err, ErrOffline) {
 		t.Fatalf("offline read: %v", err)
@@ -213,31 +213,66 @@ func TestLakeModeRestart(t *testing.T) {
 	}
 }
 
-// A pre-lake data directory (MANIFEST.crc + pack files) opened in lake
-// mode is imported into the journal, not served as an empty catalog that
-// would orphan every file the location tables reference.
-func TestManifestArchiveMigratesToLake(t *testing.T) {
-	dir := t.TempDir()
-	legacy, err := New("disk-0", Disk, dir, 0)
-	if err != nil {
-		t.Fatalf("legacy New: %v", err)
+// prelakeMembers is what testdata/prelake holds: a pre-lake archive
+// written by the manifest store with one Store (a plain file, a 3-field
+// manifest line), one StoreBatch of three members (a pack container,
+// 5-field lines) and one Remove of a batch member (the manifest rewritten
+// without it; its bytes stay in the container).
+func prelakeMembers() map[string][]byte {
+	gen := func(seed byte, n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = seed + byte(i*37)
+		}
+		return b
 	}
-	want := map[string][]byte{
-		"raw/d001/u1":    []byte("plain-stored-unit"),
-		"raw/d002/u2":    []byte("packed-unit-two"),
-		"wavelet/u2.wav": []byte("packed-wavelet"),
+	return map[string][]byte{
+		"raw/d001/u1.fits.gz": gen(1, 97),
+		"raw/d002/u2.fits.gz": gen(2, 131),
+		"wavelet/u2.wav":      gen(3, 64),
 	}
-	if err := legacy.Store("raw/d001/u1", want["raw/d001/u1"]); err != nil {
-		t.Fatalf("legacy store: %v", err)
-	}
-	if err := legacy.StoreBatch([]BatchFile{
-		{Rel: "raw/d002/u2", Data: want["raw/d002/u2"]},
-		{Rel: "wavelet/u2.wav", Data: want["wavelet/u2.wav"]},
-	}); err != nil {
-		t.Fatalf("legacy batch: %v", err)
-	}
+}
 
-	// Upgrade: the same directory opens journal-backed.
+// prelakeRemoved is the fixture's removed batch member.
+const prelakeRemoved = "gif/u2.gif"
+
+// copyPrelake copies the pre-lake fixture into a fresh directory.
+func copyPrelake(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "prelake")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(dir, strings.TrimPrefix(path, src))
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(dst, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// A pre-lake data directory (MANIFEST.crc + plain files + pack containers)
+// is imported into the journal on first open, not served as an empty
+// catalog that would orphan every file the location tables reference.
+func TestManifestArchiveMigratesToLake(t *testing.T) {
+	dir := copyPrelake(t)
+	want := prelakeMembers()
+
 	a, err := NewLake("disk-0", Disk, dir, 0)
 	if err != nil {
 		t.Fatalf("NewLake over manifest dir: %v", err)
@@ -251,19 +286,19 @@ func TestManifestArchiveMigratesToLake(t *testing.T) {
 			t.Fatalf("migrated read %s: %q, %v", rel, got, err)
 		}
 	}
+	if a.Exists(prelakeRemoved) {
+		t.Fatalf("removed member %s resurrected by migration", prelakeRemoved)
+	}
 	// The manifest is parked (completion marker), the legacy bytes dropped.
-	if legacy.fsys != nil {
-		if _, err := legacy.fsys.ReadFile(a.Root() + "/" + manifestName); !errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("MANIFEST.crc still present after migration: %v", err)
-		}
-		if _, err := legacy.fsys.ReadFile(a.Root() + "/" + migratedManifestName); err != nil {
-			t.Fatalf("parked manifest missing: %v", err)
-		}
-		if _, err := legacy.fsys.ReadFile(a.Root() + "/raw/d001/u1"); !errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("legacy plain file survived migration: %v", err)
-		}
-		if _, err := legacy.fsys.ReadFile(a.Root() + "/packs/p00000000.pack"); !errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("legacy pack survived migration: %v", err)
+	if exists(filepath.Join(dir, "MANIFEST.crc")) {
+		t.Fatal("MANIFEST.crc still present after migration")
+	}
+	if !exists(filepath.Join(dir, "MANIFEST.crc.migrated")) {
+		t.Fatal("parked manifest missing")
+	}
+	for _, legacy := range []string{"raw/d001/u1.fits.gz", "packs/p00000000.pack"} {
+		if exists(filepath.Join(dir, legacy)) {
+			t.Fatalf("legacy file %s survived migration", legacy)
 		}
 	}
 
@@ -290,10 +325,67 @@ func TestManifestArchiveMigratesToLake(t *testing.T) {
 	if err := a2.Store("raw/d003/u3", []byte("post-migration")); err != nil {
 		t.Fatalf("store after migration: %v", err)
 	}
-	if err := a2.Remove("raw/d001/u1"); err != nil {
+	if err := a2.Remove("raw/d001/u1.fits.gz"); err != nil {
 		t.Fatalf("remove after migration: %v", err)
 	}
-	if a2.Exists("raw/d001/u1") {
+	if a2.Exists("raw/d001/u1.fits.gz") {
 		t.Fatal("removed migrated member still live")
+	}
+}
+
+// TestManifestTornTailMigrates: a final manifest line with no newline is
+// the torn tail of a store that was never acknowledged. Migration drops it
+// and imports the acknowledged prefix.
+func TestManifestTornTailMigrates(t *testing.T) {
+	dir := copyPrelake(t)
+	f, err := os.OpenFile(filepath.Join(dir, "MANIFEST.crc"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("log/torn.log\t6"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	a, err := NewLake("disk-0", Disk, dir, 0)
+	if err != nil {
+		t.Fatalf("torn tail refused: %v", err)
+	}
+	want := prelakeMembers()
+	if a.Len() != len(want) || a.Exists("log/torn.log") {
+		t.Fatalf("migrated %v, want exactly the acknowledged prefix", a.List())
+	}
+	for rel, data := range want {
+		if got, err := a.Read(rel); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("migrated read %s: %q, %v", rel, got, err)
+		}
+	}
+}
+
+// TestManifestMalformedLineRefused: a malformed line that is not the torn
+// tail is corruption. Open refuses, and the legacy store stays untouched
+// for an operator to repair.
+func TestManifestMalformedLineRefused(t *testing.T) {
+	dir := copyPrelake(t)
+	path := filepath.Join(dir, "MANIFEST.crc")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.IndexByte(data, '\n') + 1
+	bad := append(append(append([]byte{}, data[:first]...), "garbage line\n"...), data[first:]...)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewLake("disk-0", Disk, dir, 0); err == nil {
+		t.Fatal("manifest with a malformed mid-file line opened")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, bad) {
+		t.Fatalf("refused manifest was changed: %v", err)
+	}
+	for _, legacy := range []string{"raw/d001/u1.fits.gz", "packs/p00000000.pack"} {
+		if !exists(filepath.Join(dir, legacy)) {
+			t.Fatalf("legacy file %s dropped by a refused migration", legacy)
+		}
 	}
 }

@@ -32,8 +32,8 @@ func (n *Node) lakeAdminHandler() http.Handler {
 		w.WriteHeader(code)
 		_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 	}
-	// withLake rejects the whole surface cleanly when disk-0 is not
-	// journal-backed (e.g. a node configured around a legacy archive).
+	// withLake rejects the whole surface cleanly when no default archive
+	// is registered.
 	withLake := func(method string, fn func(w http.ResponseWriter, r *http.Request, lk *lake.Lake)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != method {
@@ -41,8 +41,8 @@ func (n *Node) lakeAdminHandler() http.Handler {
 				return
 			}
 			a := n.DM.DefaultArchive()
-			if a == nil || a.Lake() == nil {
-				http.Error(w, "default archive is not journal-backed", http.StatusNotFound)
+			if a == nil {
+				http.Error(w, "no default archive", http.StatusNotFound)
 				return
 			}
 			fn(w, r, a.Lake())

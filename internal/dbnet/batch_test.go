@@ -45,24 +45,6 @@ func TestApplyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInsertBatch(t *testing.T) {
-	db, _, cl := newPair(t, Options{})
-	rows := make([]minidb.Row, 25)
-	for i := range rows {
-		rows[i] = minidb.Row{minidb.I(int64(i)), minidb.S("flare"), minidb.F(0), minidb.Null()}
-	}
-	ids, err := cl.InsertBatch("events", rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 25 {
-		t.Fatalf("rowids=%d, want 25", len(ids))
-	}
-	if n := db.TableLen("events"); n != 25 {
-		t.Fatalf("events=%d, want 25", n)
-	}
-}
-
 // TestApplyMidBatchError: a batch whose Nth op fails must be rejected whole
 // — nothing applied — and the connection must stay usable.
 func TestApplyMidBatchError(t *testing.T) {
@@ -139,146 +121,4 @@ func TestOversizedBatchRejected(t *testing.T) {
 	}
 	// The server dropped that connection; the pool dials a new one.
 	insertEvent(t, cl, 1, "flare")
-}
-
-func TestPipelineBasic(t *testing.T) {
-	db, srv, cl := newPair(t, Options{})
-	p, err := cl.Pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	const n = 40
-	for i := int64(0); i < n; i++ {
-		p.Insert("events", minidb.Row{minidb.I(i), minidb.S("flare"), minidb.F(1), minidb.Null()})
-	}
-	if p.Len() != n {
-		t.Fatalf("Len=%d, want %d", p.Len(), n)
-	}
-	results, err := p.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != n {
-		t.Fatalf("results=%d, want %d", len(results), n)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("request %d: %v", i, r.Err)
-		}
-		if len(r.RowIDs) != 1 {
-			t.Fatalf("request %d: rowids=%v", i, r.RowIDs)
-		}
-	}
-	// Reuse after Flush: updates and a batch in the same window.
-	p.Update("events", results[0].RowIDs[0], minidb.Row{minidb.I(0), minidb.S("burst"), minidb.F(2), minidb.Null()})
-	p.Delete("events", results[1].RowIDs[0])
-	var b minidb.Batch
-	b.Insert("events", minidb.Row{minidb.I(100), minidb.S("burst"), minidb.F(3), minidb.Null()})
-	p.Apply(&b)
-	results, err = p.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("request %d: %v", i, r.Err)
-		}
-	}
-	if got := len(results[2].RowIDs); got != 1 {
-		t.Fatalf("batch rowids=%d, want 1", got)
-	}
-	if n := db.TableLen("events"); n != 40 {
-		t.Fatalf("events=%d, want 40", n)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("ops charged for 43 pipelined requests: %d", srv.Ops())
-}
-
-// TestPipelineMidStreamError: a rejected request mid-window must land in
-// its own slot; every other request still completes and the connection
-// stays healthy.
-func TestPipelineMidStreamError(t *testing.T) {
-	db, _, cl := newPair(t, Options{})
-	p, err := cl.Pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	p.Insert("events", minidb.Row{minidb.I(1), minidb.S("flare"), minidb.F(0), minidb.Null()})
-	p.Insert("events", minidb.Row{minidb.I(1), minidb.S("dup"), minidb.F(0), minidb.Null()}) // duplicate pk
-	p.Insert("events", minidb.Row{minidb.I(2), minidb.S("flare"), minidb.F(0), minidb.Null()})
-	results, err := p.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Fatalf("good requests failed: %v / %v", results[0].Err, results[2].Err)
-	}
-	if results[1].Err == nil || !IsRemote(results[1].Err) {
-		t.Fatalf("want remote error in slot 1, got %v", results[1].Err)
-	}
-	if n := db.TableLen("events"); n != 2 {
-		t.Fatalf("events=%d, want 2", n)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPipelineConnectionDrop: the server dies between pipelined requests;
-// every unanswered request fails with a transport error, the pipeline is
-// poisoned, and Close reports the failure.
-func TestPipelineConnectionDrop(t *testing.T) {
-	_, srv, cl := newPair(t, Options{})
-	p, err := cl.Pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 5; i++ {
-		p.Insert("events", minidb.Row{minidb.I(i), minidb.S("flare"), minidb.F(0), minidb.Null()})
-	}
-	srv.Close() // kills every live connection mid-window
-	results, err := p.Flush()
-	if err == nil {
-		t.Fatal("flush succeeded over a dead server")
-	}
-	if len(results) != 5 {
-		t.Fatalf("results=%d, want 5", len(results))
-	}
-	failed := 0
-	for _, r := range results {
-		if r.Err != nil {
-			failed++
-		}
-	}
-	if failed == 0 {
-		t.Fatal("no request reported the transport failure")
-	}
-	// Poisoned: further windows fail immediately.
-	p.Insert("events", minidb.Row{minidb.I(9), minidb.S("x"), minidb.F(0), minidb.Null()})
-	if _, err := p.Flush(); err == nil {
-		t.Fatal("poisoned pipeline flushed")
-	}
-	if err := p.Close(); err == nil {
-		t.Fatal("close of failed pipeline reported success")
-	}
-}
-
-func TestPipelineAfterCloseFails(t *testing.T) {
-	_, _, cl := newPair(t, Options{})
-	p, err := cl.Pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p.Insert("events", minidb.Row{minidb.I(1), minidb.S("x"), minidb.F(0), minidb.Null()})
-	if _, err := p.Flush(); err == nil {
-		t.Fatal("flush after close succeeded")
-	}
 }

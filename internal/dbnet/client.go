@@ -324,25 +324,6 @@ func (c *Client) Apply(b *minidb.Batch) ([]int64, error) {
 	return ids, err
 }
 
-// InsertBatch inserts many rows into one table in one round trip and one
-// remote transaction, returning their rowids.
-func (c *Client) InsertBatch(table string, rows []minidb.Row) ([]int64, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	var ids []int64
-	err := c.call(opInsertBatch,
-		func(b *bytes.Buffer) {
-			minidb.WirePutString(b, table)
-			minidb.WirePutUvarint(b, uint64(len(rows)))
-			for _, row := range rows {
-				minidb.WirePutRow(b, row)
-			}
-		},
-		func(r *bytes.Reader) (e error) { ids, e = wireRowIDs(r); return })
-	return ids, err
-}
-
 // TableNames lists the remote tables.
 func (c *Client) TableNames() []string {
 	var names []string

@@ -41,7 +41,6 @@ func (d *DM) DefaultArchive() *archive.Archive {
 }
 
 // AsOf opens the catalog as of commit (0 = current head) for the session.
-// The default archive must be journal-backed.
 func (d *DM) AsOf(s *Session, commit uint64) (*AsOfView, error) {
 	if s == nil {
 		return nil, errDenied("as-of read", "catalog")
@@ -67,8 +66,8 @@ func (d *DM) AsOfAttach(s *Session, token string) (*AsOfView, error) {
 		return nil, errDenied("as-of read", "catalog")
 	}
 	arch := d.DefaultArchive()
-	if arch == nil || arch.Lake() == nil {
-		return nil, fmt.Errorf("dm: default archive %q is not journal-backed", d.defArch)
+	if arch == nil {
+		return nil, fmt.Errorf("dm: default archive %q not registered", d.defArch)
 	}
 	v, err := arch.Lake().AttachPin(token)
 	if err != nil {
@@ -85,9 +84,9 @@ func (v *AsOfView) Commit() uint64 { return v.view.Seq() }
 func (v *AsOfView) Token() string { return v.view.Token() }
 
 // ReadItem resolves an item id and reads its bytes as of the pinned
-// commit. Items whose file has been relocated off the journal-backed
-// tier (retention moved them to tape) are read from their current
-// archive — safe because archive file data is write-once on every tier.
+// commit. Items whose file has been relocated off the default archive
+// (retention moved them to tape) are read from their current archive —
+// safe because archive file data is write-once on every tier.
 func (v *AsOfView) ReadItem(itemID string) ([]byte, *ResolvedName, error) {
 	rn, err := v.d.Resolve(itemID, schema.NameFile)
 	if err != nil {
@@ -133,8 +132,8 @@ func (v *AsOfView) Close() error { return v.view.Close() }
 // operators keep a time-travel window even with no pins open).
 func (d *DM) LakeMaintenance(opts lake.CompactOptions, keepHistory uint64) (lake.CompactResult, lake.GCResult, error) {
 	arch := d.DefaultArchive()
-	if arch == nil || arch.Lake() == nil {
-		return lake.CompactResult{}, lake.GCResult{}, fmt.Errorf("dm: default archive is not journal-backed")
+	if arch == nil {
+		return lake.CompactResult{}, lake.GCResult{}, fmt.Errorf("dm: default archive %q not registered", d.defArch)
 	}
 	lk := arch.Lake()
 	cr, err := lk.Compact(opts)

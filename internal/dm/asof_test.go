@@ -12,44 +12,13 @@ import (
 	"repro/internal/schema"
 )
 
-// newLakeDM is newTestDM with a journal-backed default archive, so the
-// time-travel paths are live.
-func newLakeDM(t *testing.T) *DM {
-	t.Helper()
-	db, err := minidb.Open("", schema.AllSchemas()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arch, err := archive.NewLake("disk-0", archive.Disk, t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Open(Options{
-		Node:           "dm-lake-test",
-		MetaDB:         db,
-		DefaultArchive: "disk-0",
-		URLRoot:        "http://hedc.test",
-		Logger:         log.New(io.Discard, "", 0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RegisterArchive(arch, "/archives/disk-0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Bootstrap("secret"); err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
 // TestAsOfPinnedReprocessing is the full reprocessing story: pin the
 // catalog, then let retention relocate old units off the lake and
 // compaction+GC churn the containers — the pinned session keeps reading
 // the exact original bytes.
 func TestAsOfPinnedReprocessing(t *testing.T) {
-	d := newLakeDM(t)
-	tape, err := archive.New("tape-0", archive.Tape, t.TempDir(), 0)
+	d := newTestDM(t)
+	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +50,7 @@ func TestAsOfPinnedReprocessing(t *testing.T) {
 	}
 	pinned := v.Commit()
 
-	// Retention moves days 1-2 to tape (lake-mode Remove = tombstone
+	// Retention moves days 1-2 to tape (Remove = tombstone
 	// commit), then maintenance compacts and GCs as far as pins allow.
 	if err := d.SetRetentionRule(RetentionRule{MaxAgeDays: 1, ToArchive: "tape-0"}); err != nil {
 		t.Fatal(err)
@@ -148,8 +117,8 @@ func TestAsOfPinnedReprocessing(t *testing.T) {
 // rule must never delete a container still referenced by a pinned
 // time-travel commit.
 func TestRetentionNeverDeletesPinnedContainers(t *testing.T) {
-	d := newLakeDM(t)
-	tape, err := archive.New("tape-0", archive.Tape, t.TempDir(), 0)
+	d := newTestDM(t)
+	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +187,7 @@ func TestRetentionNeverDeletesPinnedContainers(t *testing.T) {
 // TestAsOfAttachResumesAfterRestartToken checks the checkpoint flow: a
 // reprocessing job records v.Token(), crashes, and resumes via AsOfAttach.
 func TestAsOfAttachResumesAfterRestartToken(t *testing.T) {
-	d := newLakeDM(t)
+	d := newTestDM(t)
 	loadDays(t, d, 1)
 	sys := d.systemSession()
 	units, _ := d.UnitsInRange(0, 600)
@@ -252,16 +221,29 @@ func TestAsOfAttachResumesAfterRestartToken(t *testing.T) {
 	}
 }
 
-// TestAsOfRequiresLakeArchive: manifest-mode archives refuse time travel
-// with a clear error, and as-of reads require a session.
+// TestAsOfRequiresLakeArchive: time travel reads the default archive's
+// lake, so a DM with no default archive registered refuses it with a clear
+// error, and as-of reads require a session.
 func TestAsOfRequiresLakeArchive(t *testing.T) {
-	d := newTestDM(t)
+	db, err := minidb.Open("", schema.AllSchemas()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(Options{Node: "dm-no-archive", MetaDB: db, DefaultArchive: "disk-0", Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys := d.systemSession()
 	if _, err := d.AsOf(sys, 0); err == nil {
-		t.Fatal("AsOf on manifest-mode archive succeeded")
+		t.Fatal("AsOf without a default archive succeeded")
 	}
-	dl := newLakeDM(t)
-	if _, err := dl.AsOf(nil, 0); err == nil {
+	if _, err := d.AsOfAttach(sys, "pin-1"); err == nil {
+		t.Fatal("AsOfAttach without a default archive succeeded")
+	}
+	if _, _, err := d.LakeMaintenance(lake.DefaultCompactOptions(), 0); err == nil {
+		t.Fatal("LakeMaintenance without a default archive succeeded")
+	}
+	if _, err := newTestDM(t).AsOf(nil, 0); err == nil {
 		t.Fatal("AsOf without session succeeded")
 	}
 }

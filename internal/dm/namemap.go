@@ -44,8 +44,8 @@ type StoredFile struct {
 // reference them. On any failure, previously stored files are removed —
 // the compensation the DM's transactional entity handling requires (§4.4).
 //
-// Durability contract: archive.Store fsyncs both the data file and its
-// manifest line before returning, and the location-entry transaction is
+// Durability contract: archive.Store fsyncs both the member's container and
+// its journal commit before returning, and the location-entry transaction is
 // sealed by a redo-log fsync before this method returns — so once
 // StoreItemFiles acknowledges, a crash at any later instant loses neither
 // the bytes nor the name mapping. A crash *during* the call leaves at most

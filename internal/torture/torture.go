@@ -31,13 +31,18 @@
 //     after space is freed recover to serving exactly the operations that
 //     succeeded.
 //
-// The archive side is slightly weaker than the database side in the strict
-// modes: its commit points are metadata renames and appends (atomic in the
-// simulated filesystem, as on a journalled one) rather than fsync-gated
-// record seals, so an unacknowledged store/remove may legally be visible
-// after recovery — but an acknowledged one must never be damaged or lost,
-// and a manifest entry must never point at missing or silently corrupt
-// bytes.
+// The archive is a lake (internal/lake): a store or remove is acknowledged
+// when its journal record is fsynced. Its check is looser than the
+// database's in the strict modes: an unacknowledged store/remove may
+// legally be visible after recovery — but an acknowledged one must never
+// be damaged or lost, and a journal entry must never point at missing or
+// silently corrupt bytes.
+//
+// The test files add enumerations of their own with the same shape: the
+// group-commit WAL under concurrent committers, the DM store path, the
+// lake journal with compaction and GC, the sharded cell, columnar segment
+// writes, and the one-way import of a pre-lake manifest archive into the
+// lake.
 package torture
 
 import (
@@ -232,7 +237,7 @@ func payload(tag string, size int) []byte {
 // Steps returns the scripted workload. It is deliberately varied: single-
 // and multi-op transactions, cross-table transactions, rollbacks,
 // checkpoints (twice, so the stale-log path runs), archive stores in nested
-// directories, and removes that rewrite the manifest.
+// directories, and removes (tombstone commits).
 func Steps() []step {
 	var s []step
 	add := func(name string, fn func(*run) error) { s = append(s, step{name, fn}) }
@@ -415,7 +420,7 @@ func Run(fs *fault.FS, continueOnError bool) (m *Model, firstErr error) {
 	if err != nil {
 		return m, fmt.Errorf("open db: %w", err)
 	}
-	arch, err := archive.NewVFS(fs, ArchID, archive.Disk, ArchDir, 0)
+	arch, err := archive.NewLakeVFS(fs, ArchID, archive.Disk, ArchDir, 0)
 	if err != nil {
 		return m, fmt.Errorf("open archive: %w", err)
 	}
@@ -630,7 +635,7 @@ func Verify(fs *fault.FS, m *Model, mode fault.Mode) error {
 		}
 	}
 
-	arch, err := archive.NewVFS(fs, ArchID, archive.Disk, ArchDir, 0)
+	arch, err := archive.NewLakeVFS(fs, ArchID, archive.Disk, ArchDir, 0)
 	if err != nil {
 		if mode == fault.ModeBitFlip {
 			return nil
@@ -639,7 +644,7 @@ func Verify(fs *fault.FS, m *Model, mode fault.Mode) error {
 	}
 	// Every acknowledged file must be present, readable and byte-identical
 	// — except one whose un-acknowledged removal was in flight, which may
-	// legally be gone already (its commit point is a rename).
+	// legally be gone already (its journal record may have landed).
 	for rel, want := range m.Files {
 		data, err := arch.Read(rel)
 		if err != nil {
@@ -652,18 +657,18 @@ func Verify(fs *fault.FS, m *Model, mode fault.Mode) error {
 			return fmt.Errorf("acknowledged file %s has wrong content after recovery", rel)
 		}
 	}
-	// Anything extra in the manifest must be the in-flight store — and its
-	// manifest entry may only exist if the data beneath it is durable
+	// Anything extra in the archive must be the in-flight store — and its
+	// journal entry may only exist if the data beneath it is durable
 	// (readable with matching checksum) or detectably corrupt in bitflip.
 	for _, rel := range arch.List() {
 		if _, acked := m.Files[rel]; acked {
 			continue
 		}
 		if rel != m.PendingStore && mode != fault.ModeBitFlip {
-			return fmt.Errorf("recovered manifest lists %s, which was never stored", rel)
+			return fmt.Errorf("recovered archive lists %s, which was never stored", rel)
 		}
 		// The entry is the in-flight store — or, in bitflip mode, possibly
-		// its manifest line with the flip inside (a mangled path). Either
+		// its journal record with the flip inside (a mangled path). Either
 		// way its un-acknowledged data may surface only intact or as a
 		// *detected* error, never as silently wrong bytes.
 		data, err := arch.Read(rel)
@@ -671,7 +676,7 @@ func Verify(fs *fault.FS, m *Model, mode fault.Mode) error {
 			if rel != m.PendingStore || (mode == fault.ModeBitFlip && errors.Is(err, archive.ErrCorrupt)) {
 				continue
 			}
-			return fmt.Errorf("manifest lists in-flight store %s but its bytes are not durable: %v", rel, err)
+			return fmt.Errorf("archive lists in-flight store %s but its bytes are not durable: %v", rel, err)
 		}
 		if !reflect.DeepEqual(data, m.PendingData) {
 			return fmt.Errorf("in-flight store %s recovered with wrong content", rel)

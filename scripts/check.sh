@@ -10,10 +10,11 @@
 # read and fast write paths), a miniature run of every processing-farm
 # phase (work stealing, preemption, hedging, epoch-keyed memoization with
 # its bit-identity oracle) under -race, a short-mode stampede smoke (the
-# adaptive overload stack under a 10x open-loop spike), and short runs of
-# the WAL, dbnet wire-decode (including the statusOverload response
-# parser), columnar segment, shard map/merge and lake journal fuzz
-# targets.
+# adaptive overload stack under a 10x open-loop spike), a vet and build of
+# the perfbench module (its own module, so the root build never compiles
+# it; no benchmark runs), and short runs of the WAL, dbnet wire-decode
+# (including the statusOverload response parser), columnar segment, shard
+# map/merge, lake journal and pre-lake manifest loader fuzz targets.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,6 +23,9 @@ go vet ./...
 
 echo "==> go build"
 go build ./...
+
+echo "==> perfbench module: go vet + go build"
+(cd perfbench && go vet ./... && go build ./...)
 
 echo "==> non-test Go lines outside perfbench/"
 make -s loc
@@ -68,7 +72,8 @@ for spec in \
 	"./internal/colseg/ FuzzDecodeSegment" \
 	"./internal/shard/ FuzzDecodeShardMap" \
 	"./internal/shard/ FuzzMergeReplies" \
-	"./internal/lake/ FuzzDecodeJournal"; do
+	"./internal/lake/ FuzzDecodeJournal" \
+	"./internal/archive/ FuzzLoadManifest"; do
 	pkg=${spec% *}
 	target=${spec#* }
 	echo "==> fuzz smoke: $pkg $target ($FUZZTIME)"
